@@ -60,18 +60,10 @@ func TrainProfileContext(ctx context.Context, ds *dataset.Dataset, nodeCount int
 			return nil, fmt.Errorf("core: junction node %d outside node count %d", nodeIdx, nodeCount)
 		}
 	}
-	factory := func(seed int64) mlearn.Classifier {
-		c, err := mlearn.NewByName(string(cfg.Technique), seed)
-		if err != nil {
-			// Unreachable: the name is validated below before training.
-			panic(err)
-		}
-		return c
-	}
 	if _, err := ParseTechnique(string(cfg.Technique)); err != nil {
 		return nil, err
 	}
-	mo := mlearn.NewMultiOutput(factory, cfg.Seed)
+	mo := mlearn.NewMultiOutput(cfg.Technique.factory(), cfg.Seed)
 	if err := mo.FitContext(ctx, ds.X(), ds.Y()); err != nil {
 		return nil, fmt.Errorf("core: profile training: %w", err)
 	}

@@ -7,9 +7,10 @@
 // batch classifier needs all rows) plus one junction *window* of label
 // columns (default 64); the full label matrix — the term that grows
 // with network size — is never resident. Each window re-streams the
-// corpus for its label columns, fits its classifiers in parallel with
-// the exact per-column seeds MultiOutput.Fit would use, and appends the
-// fitted models to the checkpoint. The assembled profile is therefore
+// corpus for its label columns, fits them with MultiOutput.FitContext —
+// the entry point and shared fit plan TrainProfile uses — at the column seeds
+// the whole bank would get, and appends the fitted models to the
+// checkpoint. The assembled profile is therefore
 // bit-identical to TrainProfile over the equivalent in-memory dataset —
 // the project's standing invariant, pinned by test on EPA-NET and WSSC.
 package core
@@ -23,8 +24,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
-	"sync"
 
 	"github.com/aquascale/aquascale/internal/dataset"
 	"github.com/aquascale/aquascale/internal/mlearn"
@@ -151,16 +150,9 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 		return fmt.Errorf("core: corpus yielded %d samples, declared %d", row, samples)
 	}
 
-	factory := func(seed int64) mlearn.Classifier {
-		c, err := mlearn.NewByName(string(cfg.Technique), seed)
-		if err != nil {
-			// Unreachable: the name was validated before training.
-			panic(err)
-		}
-		return c
-	}
-
-	colsFlat := make([]int, window*samples)
+	newClassifier := cfg.Technique.factory()
+	labels := make([]int, samples*window)
+	y := make([][]int, samples)
 	for lo := fitted; lo < outputs; {
 		hi := lo + window
 		if hi > outputs {
@@ -170,10 +162,15 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 			return err
 		}
 		// One pass over the corpus fills this window's label columns.
+		w := hi - lo
 		row = 0
 		err := r.Each(ctx, func(s *dataset.CorpusSample) error {
+			if row >= samples {
+				return fmt.Errorf("core: corpus yielded more than its declared %d samples", samples)
+			}
+			y[row] = labels[row*w : (row+1)*w]
 			for v := lo; v < hi; v++ {
-				colsFlat[(v-lo)*samples+row] = s.Label(v)
+				y[row][v-lo] = s.Label(v)
 			}
 			row++
 			return nil
@@ -181,43 +178,21 @@ func trainCorpusWindows(ctx context.Context, r *dataset.CorpusReader, cfg Profil
 		if err != nil {
 			return err
 		}
-		row = 0
 
-		// Fit the window in parallel with MultiOutput.Fit's exact
-		// per-column seed derivation, so the streamed profile is
-		// bit-identical to the in-memory one.
-		errs := make([]error, hi-lo)
-		workers := runtime.NumCPU()
-		if workers > hi-lo {
-			workers = hi - lo
+		// The window is a bank of its own, fitted by the same code as
+		// TrainProfile. MultiOutput gives column v the seed base + v·31337,
+		// so basing the window at column lo reproduces the whole bank's
+		// seeds; its factory hands back the classifiers in column order.
+		made := make([]mlearn.Classifier, 0, w)
+		bank := mlearn.NewMultiOutput(func(seed int64) mlearn.Classifier {
+			c := newClassifier(seed)
+			made = append(made, c)
+			return c
+		}, cfg.Seed+int64(lo)*31337)
+		if err := bank.FitContext(ctx, x, y); err != nil {
+			return fmt.Errorf("core: profile training: junctions %d-%d: %w", lo, hi-1, err)
 		}
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for v := range work {
-					col := colsFlat[(v-lo)*samples : (v-lo+1)*samples]
-					c := factory(cfg.Seed + int64(v)*31337)
-					if err := c.Fit(x, col); err != nil {
-						errs[v-lo] = fmt.Errorf("output %d: %w", v, err)
-						continue
-					}
-					models[v] = c
-				}
-			}()
-		}
-		for v := lo; v < hi; v++ {
-			work <- v
-		}
-		close(work)
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return fmt.Errorf("core: profile training: %w", err)
-			}
-		}
+		copy(models[lo:hi], made)
 
 		if ck != nil {
 			for v := lo; v < hi; v++ {

@@ -57,6 +57,18 @@ func ParseTechnique(s string) (Technique, error) {
 	return Technique(s), nil
 }
 
+// factory returns the registry factory of a technique that has passed
+// ParseTechnique.
+func (t Technique) factory() mlearn.Factory {
+	return func(seed int64) mlearn.Classifier {
+		c, err := mlearn.NewByName(string(t), seed)
+		if err != nil {
+			panic(err) // unreachable: the name was validated
+		}
+		return c
+	}
+}
+
 // MarshalText implements encoding.TextMarshaler.
 func (t Technique) MarshalText() ([]byte, error) { return []byte(t), nil }
 

@@ -52,6 +52,11 @@ func NewRandomForest(cfg RFConfig) *RandomForest {
 // Fit grows the ensemble on bootstrap resamples with balanced class
 // weights.
 func (m *RandomForest) Fit(x [][]float64, y []int) error {
+	return m.fitOn(newFitPlan(x), y)
+}
+
+func (m *RandomForest) fitOn(p *fitPlan, y []int) error {
+	x := p.x
 	d, err := validateXY(x, y)
 	if err != nil {
 		return err
@@ -80,7 +85,7 @@ func (m *RandomForest) Fit(x [][]float64, y []int) error {
 	oobSum := make([]float64, n)
 	oobCount := make([]int, n)
 	weight := make([]float64, n)
-	bin := newBinner(x) // shared across all trees
+	bin := p.binner() // shared across all trees
 
 	for t := 0; t < m.cfg.Trees; t++ {
 		// Bootstrap as multiplicative weights (keeps index slices simple).
@@ -100,7 +105,7 @@ func (m *RandomForest) Fit(x [][]float64, y []int) error {
 			}
 		}
 		treeRng := rand.New(rand.NewSource(m.cfg.Seed + int64(t)*7919 + 1))
-		g := newGrower(x, bin, target, weight, growConfig{
+		g := newGrower(bin, target, weight, growConfig{
 			maxDepth: m.cfg.MaxDepth,
 			minLeaf:  m.cfg.MinLeaf,
 			mtry:     mtry,

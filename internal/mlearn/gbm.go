@@ -53,6 +53,11 @@ func NewGradientBoosting(cfg GBConfig) *GradientBoosting {
 
 // Fit runs Newton-style boosting with balanced class weights.
 func (m *GradientBoosting) Fit(x [][]float64, y []int) error {
+	return m.fitOn(newFitPlan(x), y)
+}
+
+func (m *GradientBoosting) fitOn(p *fitPlan, y []int) error {
+	x := p.x
 	if _, err := validateXY(x, y); err != nil {
 		return err
 	}
@@ -85,7 +90,7 @@ func (m *GradientBoosting) Fit(x [][]float64, y []int) error {
 	hessian := make([]float64, n)
 	rng := rand.New(rand.NewSource(m.cfg.Seed))
 	m.trees = make([]*treeNode, 0, m.cfg.Rounds)
-	bin := newBinner(x) // shared across all boosting rounds
+	bin := p.binner() // shared across all boosting rounds
 
 	for round := 0; round < m.cfg.Rounds; round++ {
 		for i := 0; i < n; i++ {
@@ -112,7 +117,7 @@ func (m *GradientBoosting) Fit(x [][]float64, y []int) error {
 			}
 		}
 
-		g := newGrower(x, bin, residual, weight, growConfig{
+		g := newGrower(bin, residual, weight, growConfig{
 			maxDepth: m.cfg.MaxDepth,
 			minLeaf:  4,
 			leafValue: func(idx []int) float64 {

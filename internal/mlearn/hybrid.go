@@ -52,6 +52,13 @@ func NewHybridRSL(cfg HybridConfig) *HybridRSL {
 // Fit trains both legs, builds the meta-features, and fits the logistic
 // fusion layer.
 func (m *HybridRSL) Fit(x [][]float64, y []int) error {
+	return m.fitOn(newFitPlan(x), y)
+}
+
+// fitOn hands the plan to both legs, so a bank bins and standardizes X
+// once for all of its RF and SVM fits.
+func (m *HybridRSL) fitOn(p *fitPlan, y []int) error {
+	x := p.x
 	if _, err := validateXY(x, y); err != nil {
 		return err
 	}
@@ -61,7 +68,7 @@ func (m *HybridRSL) Fit(x [][]float64, y []int) error {
 	rfCfg := m.cfg.RF
 	rfCfg.Seed = m.cfg.Seed + 101
 	m.rf = NewRandomForest(rfCfg)
-	if err := m.rf.Fit(x, y); err != nil {
+	if err := m.rf.fitOn(p, y); err != nil {
 		return fmt.Errorf("hybrid-rsl: rf leg: %w", err)
 	}
 
@@ -96,7 +103,7 @@ func (m *HybridRSL) Fit(x [][]float64, y []int) error {
 	svmCfg := m.cfg.SVM
 	svmCfg.Seed = m.cfg.Seed + 307
 	m.svm = NewSVM(svmCfg)
-	if err := m.svm.Fit(x, y); err != nil {
+	if err := m.svm.fitOn(p, y); err != nil {
 		return fmt.Errorf("hybrid-rsl: svm leg: %w", err)
 	}
 	if !crossFit {

@@ -71,8 +71,9 @@ func TestBinnerRespectsOrder(t *testing.T) {
 		bin uint8
 	}
 	pairs := make([]pair, n)
+	col := b.column(0)
 	for i := range x {
-		pairs[i] = pair{x[i][0], b.bins[i][0]}
+		pairs[i] = pair{x[i][0], col[i]}
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -180,5 +181,134 @@ func TestFitPlattProducesCalibratedSign(t *testing.T) {
 	}
 	if p := sigmoid(a*(-2) + b); p > 0.3 {
 		t.Fatalf("P(y=1 | margin=-2) = %v, want low", p)
+	}
+}
+
+func TestBinnerColumnMajor(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n, d := 97, 5
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, d)
+		for f := range x[i] {
+			x[i][f] = float64(rng.Intn(3+10*f)) * float64(f+1)
+		}
+	}
+	b := newBinner(x)
+	if len(b.bins) != n*d {
+		t.Fatalf("len(bins) = %d, want %d", len(b.bins), n*d)
+	}
+	for f := 0; f < d; f++ {
+		col := b.column(f)
+		if len(col) != n || cap(col) != n {
+			t.Fatalf("column %d: len %d cap %d, want %d", f, len(col), cap(col), n)
+		}
+		for i := range x {
+			if want := searchBin(b.edges[f], x[i][f]); int(col[i]) != want {
+				t.Fatalf("bins[%d][%d] = %d, want %d", f, i, col[i], want)
+			}
+		}
+	}
+}
+
+// imbalancedMargins is the Platt case the fixed-step fit got wrong: 3.5%
+// positives whose margins overlap the negatives'.
+func imbalancedMargins() ([]float64, []int) {
+	rng := rand.New(rand.NewSource(35))
+	n := 600
+	margins := make([]float64, n)
+	y := make([]int, n)
+	for i := range margins {
+		if i%200 < 7 {
+			y[i] = 1
+			margins[i] = 0.4 + rng.NormFloat64()*0.8
+		} else {
+			margins[i] = -1.3 + rng.NormFloat64()*0.6
+		}
+	}
+	return margins, y
+}
+
+// plattTargets are Platt's smoothed labels, as fitPlatt builds them.
+func plattTargets(y []int) []float64 {
+	var nPos, nNeg float64
+	for _, v := range y {
+		if v == 1 {
+			nPos++
+		} else {
+			nNeg++
+		}
+	}
+	t := make([]float64, len(y))
+	for i, v := range y {
+		if v == 1 {
+			t[i] = (nPos + 1) / (nPos + 2)
+		} else {
+			t[i] = 1 / (nNeg + 2)
+		}
+	}
+	return t
+}
+
+// gradientPlatt is the fit fitPlatt replaced: 500 gradient steps at rate
+// 0.01 from (1, 0). It is the log-loss bar the Newton fit must clear.
+func gradientPlatt(margins []float64, targets []float64) (a, b float64) {
+	a = 1
+	for epoch := 0; epoch < 500; epoch++ {
+		var ga, gb float64
+		for i, m := range margins {
+			g := sigmoid(a*m+b) - targets[i]
+			ga += g * m
+			gb += g
+		}
+		inv := 1 / float64(len(margins))
+		a -= 0.01 * ga * inv
+		b -= 0.01 * gb * inv
+	}
+	return a, b
+}
+
+func TestFitPlattConverges(t *testing.T) {
+	margins, y := imbalancedMargins()
+	targets := plattTargets(y)
+	a, b := fitPlatt(margins, y)
+	var ga, gb float64
+	for i, m := range margins {
+		g := sigmoid(a*m+b) - targets[i]
+		ga += g * m
+		gb += g
+	}
+	if math.Abs(ga) >= 1e-5 || math.Abs(gb) >= 1e-5 {
+		t.Fatalf("gradient at (%v, %v) = (%g, %g), want both below 1e-5", a, b, ga, gb)
+	}
+	oa, ob := gradientPlatt(margins, targets)
+	newLoss := plattLoss(margins, targets, a, b)
+	oldLoss := plattLoss(margins, targets, oa, ob)
+	if newLoss > oldLoss {
+		t.Fatalf("log-loss %v at (%v, %v) exceeds the 500-step fit's %v at (%v, %v)",
+			newLoss, a, b, oldLoss, oa, ob)
+	}
+	t.Logf("Newton (%.4f, %.4f) loss %.4f; 500 steps (%.4f, %.4f) loss %.4f", a, b, newLoss, oa, ob, oldLoss)
+}
+
+func TestFitPlattDegenerate(t *testing.T) {
+	cases := []struct {
+		name    string
+		margins []float64
+		y       []int
+	}{
+		{"single class negative", []float64{-2, -1, -0.5, 0.3, 1}, []int{0, 0, 0, 0, 0}},
+		{"single class positive", []float64{-1, 0.5, 2}, []int{1, 1, 1}},
+		{"all-zero margins", []float64{0, 0, 0, 0}, []int{0, 1, 0, 0}},
+		{"n=1 positive", []float64{0.7}, []int{1}},
+		{"n=1 negative", []float64{-3}, []int{0}},
+		{"n=1 zero margin", []float64{0}, []int{1}},
+		{"separable", []float64{-2, -1, 1, 2}, []int{0, 0, 1, 1}},
+	}
+	for _, c := range cases {
+		a, b := fitPlatt(c.margins, c.y)
+		if nonFinite(a) || nonFinite(b) {
+			t.Errorf("%s: fitPlatt = (%v, %v), want finite", c.name, a, b)
+		}
 	}
 }

@@ -82,11 +82,16 @@ func NewLinearRegression(cfg LinearConfig) *LinearRegression {
 // Fit solves the weighted normal equations (XᵀWX + λI)β = XᵀWy with
 // balanced class weights.
 func (m *LinearRegression) Fit(x [][]float64, y []int) error {
-	d, err := validateXY(x, y)
+	return m.fitOn(newFitPlan(x), y)
+}
+
+func (m *LinearRegression) fitOn(plan *fitPlan, y []int) error {
+	d, err := validateXY(plan.x, y)
 	if err != nil {
 		return err
 	}
-	m.scale = fitScaler(x)
+	var xs [][]float64
+	m.scale, xs = plan.standardized()
 	cw := classWeights(y)
 
 	// Augment with a bias column (index d).
@@ -94,8 +99,7 @@ func (m *LinearRegression) Fit(x [][]float64, y []int) error {
 	a := matrix.NewDense(cols, cols)
 	b := make([]float64, cols)
 	row := make([]float64, cols)
-	for i, raw := range x {
-		xi := m.scale.transform(raw)
+	for i, xi := range xs {
 		copy(row, xi)
 		row[d] = 1
 		w := cw[y[i]]
@@ -116,7 +120,7 @@ func (m *LinearRegression) Fit(x [][]float64, y []int) error {
 		for q := p + 1; q < cols; q++ {
 			a.Set(q, p, a.At(p, q))
 		}
-		a.Add(p, p, m.cfg.Lambda*float64(len(x)))
+		a.Add(p, p, m.cfg.Lambda*float64(len(xs)))
 	}
 	beta, err := matrix.SolveSPD(a, b)
 	if err != nil {
@@ -187,18 +191,21 @@ func sigmoid(z float64) float64 {
 
 // Fit runs weighted batch gradient descent on the logistic loss.
 func (m *LogisticRegression) Fit(x [][]float64, y []int) error {
-	d, err := validateXY(x, y)
+	return m.fitOn(newFitPlan(x), y)
+}
+
+func (m *LogisticRegression) fitOn(p *fitPlan, y []int) error {
+	d, err := validateXY(p.x, y)
 	if err != nil {
 		return err
 	}
-	m.scale = fitScaler(x)
+	var xs [][]float64
+	m.scale, xs = p.standardized()
 	cw := classWeights(y)
 
-	xs := make([][]float64, len(x))
 	totalW := 0.0
-	for i, raw := range x {
-		xs[i] = m.scale.transform(raw)
-		totalW += cw[y[i]]
+	for _, v := range y {
+		totalW += cw[v]
 	}
 	m.w = make([]float64, d)
 	m.bias = 0

@@ -10,7 +10,7 @@ import (
 // MultiOutput transforms the multi-output leak classification into
 // independent per-node binary problems (paper Sec. III-B): one classifier
 // per node, all trained on the same features. Training parallelizes across
-// nodes.
+// nodes and shares one fit plan (binning, standardization) over X.
 type MultiOutput struct {
 	factory Factory
 	seed    int64
@@ -33,6 +33,12 @@ func (m *MultiOutput) Fit(x [][]float64, y [][]int) error {
 // FitContext is Fit with cancellation: ctx is checked between column
 // dispatches, so in-flight per-node fits finish, the bank is left
 // unfitted, and the error is ctx.Err().
+//
+// Column v's classifier is factory(seed + v·31337). The factory is called
+// from the calling goroutine, once per dispatched column and in column
+// order, so a caller can keep what it made. Every fit reads one shared
+// fit plan over x; the bank is bit-identical to fitting each column on
+// its own with Fit.
 func (m *MultiOutput) FitContext(ctx context.Context, x [][]float64, y [][]int) error {
 	if len(x) == 0 {
 		return fmt.Errorf("mlearn: empty training set")
@@ -50,9 +56,10 @@ func (m *MultiOutput) FitContext(ctx context.Context, x [][]float64, y [][]int) 
 		}
 	}
 
-	m.models = make([]Classifier, outputs)
+	plan := newFitPlan(x)
+	models := make([]Classifier, outputs)
 	errs := make([]error, outputs)
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > outputs {
 		workers = outputs
 	}
@@ -67,12 +74,15 @@ func (m *MultiOutput) FitContext(ctx context.Context, x [][]float64, y [][]int) 
 				for i := range y {
 					col[i] = y[i][v]
 				}
-				c := m.factory(m.seed + int64(v)*31337)
-				if err := c.Fit(x, col); err != nil {
-					errs[v] = fmt.Errorf("output %d: %w", v, err)
-					continue
+				var err error
+				if pf, ok := models[v].(planFitter); ok {
+					err = pf.fitOn(plan, col)
+				} else {
+					err = models[v].Fit(x, col) // registered from outside the package
 				}
-				m.models[v] = c
+				if err != nil {
+					errs[v] = fmt.Errorf("output %d: %w", v, err)
+				}
 			}
 		}()
 	}
@@ -82,6 +92,7 @@ func (m *MultiOutput) FitContext(ctx context.Context, x [][]float64, y [][]int) 
 			cancelled = true
 			break
 		}
+		models[v] = m.factory(m.seed + int64(v)*31337)
 		work <- v
 	}
 	close(work)
@@ -92,9 +103,11 @@ func (m *MultiOutput) FitContext(ctx context.Context, x [][]float64, y [][]int) 
 	}
 	for _, err := range errs {
 		if err != nil {
+			m.models = nil
 			return err
 		}
 	}
+	m.models = models
 	return nil
 }
 

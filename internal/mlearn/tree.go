@@ -21,8 +21,10 @@ type binner struct {
 	// (edges[b-1], edges[b]]; the last bin is open-ended.
 	edges [][]float64
 
-	// bins[i] is sample i's bin index per feature.
-	bins [][]uint8
+	// bins is column-major: bins[f*n+i] is sample i's bin for feature f,
+	// so a histogram scan or a partition reads one contiguous column.
+	bins []uint8
+	n    int
 }
 
 // newBinner computes quantile bins for the feature matrix.
@@ -31,7 +33,8 @@ func newBinner(x [][]float64) *binner {
 	d := len(x[0])
 	b := &binner{
 		edges: make([][]float64, d),
-		bins:  make([][]uint8, n),
+		bins:  make([]uint8, d*n),
+		n:     n,
 	}
 	vals := make([]float64, n)
 	for f := 0; f < d; f++ {
@@ -48,18 +51,20 @@ func newBinner(x [][]float64) *binner {
 			}
 		}
 		b.edges[f] = edges
-	}
-	for i := range x {
-		row := make([]uint8, d)
-		for f := 0; f < d; f++ {
-			row[f] = uint8(sort.SearchFloat64s(b.edges[f], x[i][f]))
+		col := b.column(f)
+		for i := range x {
 			// SearchFloat64s returns the first edge ≥ value, so values
 			// equal to an edge land in that edge's bin — consistent with
 			// the (lo, hi] convention used at prediction time.
+			col[i] = uint8(sort.SearchFloat64s(edges, x[i][f]))
 		}
-		b.bins[i] = row
 	}
 	return b
+}
+
+// column returns feature f's bin indices, one per sample.
+func (b *binner) column(f int) []uint8 {
+	return b.bins[f*b.n : (f+1)*b.n : (f+1)*b.n]
 }
 
 // threshold returns the split value for "bin ≤ b": the edge value itself
@@ -109,7 +114,6 @@ type growConfig struct {
 // proportional to weighted Gini — so the same criterion serves
 // classification and regression.
 type grower struct {
-	x      [][]float64
 	bin    *binner
 	target []float64
 	weight []float64
@@ -121,17 +125,16 @@ type grower struct {
 }
 
 // newGrower prepares a grower; bin may be shared across trees built from
-// the same matrix (random forest, boosting rounds).
-func newGrower(x [][]float64, bin *binner, target, weight []float64, cfg growConfig) *grower {
+// the same matrix (random forest, boosting rounds, a whole bank).
+func newGrower(bin *binner, target, weight []float64, cfg growConfig) *grower {
 	if cfg.maxDepth <= 0 {
 		cfg.maxDepth = 6
 	}
 	if cfg.minLeaf <= 0 {
 		cfg.minLeaf = 2
 	}
-	g := &grower{x: x, bin: bin, target: target, weight: weight, cfg: cfg}
-	d := len(x[0])
-	g.feats = make([]int, d)
+	g := &grower{bin: bin, target: target, weight: weight, cfg: cfg}
+	g.feats = make([]int, len(bin.edges))
 	for j := range g.feats {
 		g.feats[j] = j
 	}
@@ -140,7 +143,7 @@ func newGrower(x [][]float64, bin *binner, target, weight []float64, cfg growCon
 
 // growAll builds a tree over all samples.
 func (g *grower) growAll() *treeNode {
-	indices := make([]int, len(g.x))
+	indices := make([]int, g.bin.n)
 	for i := range indices {
 		indices[i] = i
 	}
@@ -148,7 +151,7 @@ func (g *grower) growAll() *treeNode {
 }
 
 func growTree(x [][]float64, target, weight []float64, cfg growConfig) *treeNode {
-	return newGrower(x, newBinner(x), target, weight, cfg).growAll()
+	return newGrower(newBinner(x), target, weight, cfg).growAll()
 }
 
 func (g *grower) grow(indices []int, depth int) *treeNode {
@@ -160,9 +163,10 @@ func (g *grower) grow(indices []int, depth int) *treeNode {
 		return &treeNode{leaf: true, value: g.cfg.leafValue(indices)}
 	}
 	// Partition in place: left = bin ≤ split bin.
+	col := g.bin.column(feat)
 	lo, hi := 0, len(indices)
 	for lo < hi {
-		if int(g.bin.bins[indices[lo]][feat]) <= bin {
+		if int(col[indices[lo]]) <= bin {
 			lo++
 		} else {
 			hi--
@@ -221,8 +225,9 @@ func (g *grower) bestSplit(indices []int) (feature, bin int, ok bool) {
 			g.histW[b] = 0
 			g.histWT[b] = 0
 		}
+		col := g.bin.column(f)
 		for _, i := range indices {
-			b := g.bin.bins[i][f]
+			b := col[i]
 			g.histW[b] += g.weight[i]
 			g.histWT[b] += g.weight[i] * g.target[i]
 		}

@@ -299,3 +299,28 @@ func TestBatchingDisabled(t *testing.T) {
 		t.Fatalf("pending board holds %d hours with batching disabled, want 0", boarded)
 	}
 }
+
+// TestStatusCountsJobBeforeDone pins the finishJob ordering fix: a
+// job's done counter is incremented before its Done channel closes, so
+// a caller woken by Done never reads a stale Status. With the old order
+// (close, then count) a waiter could read one job short — the done=499
+// of 500 flake in the EPA-NET concurrency test.
+func TestStatusCountsJobBeforeDone(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, QueueSize: 4})
+	feats := testFeatures(s.System(), 13)
+	const rounds = 400
+	for k := int64(1); k <= rounds; k++ {
+		j, err := s.Submit(ObserveRequest{Features: feats})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", k, err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("job %d did not finish", k)
+		}
+		if st := s.Status(); st.Done != k || st.Failed != 0 {
+			t.Fatalf("after %d jobs fired Done: Status done=%d failed=%d", k, st.Done, st.Failed)
+		}
+	}
+}

@@ -678,7 +678,6 @@ func (s *Server) run(j *Job) {
 func (s *Server) finishJob(j *Job, res *Result, err error) {
 	latency := time.Since(j.enqueued)
 	if err != nil {
-		j.fail(err)
 		s.nFailed.Add(1)
 		s.met.jobsFailed.Inc()
 		if s.log != nil {
@@ -689,7 +688,6 @@ func (s *Server) finishJob(j *Job, res *Result, err error) {
 				slog.String("error", err.Error()))
 		}
 	} else {
-		j.complete(res)
 		s.nDone.Add(1)
 		s.met.jobsDone.Inc()
 	}
@@ -712,6 +710,14 @@ func (s *Server) finishJob(j *Job, res *Result, err error) {
 		s.tombOrder = s.tombOrder[1:]
 	}
 	s.mu.Unlock()
+
+	// Closing the done channel is the last step, so a caller woken by
+	// Job.Done sees this job in Status counts, metrics and traces.
+	if err != nil {
+		j.fail(err)
+	} else {
+		j.complete(res)
+	}
 }
 
 // captureTrace decides whether a finished job's trace lands in the
